@@ -491,7 +491,8 @@ def best_covering(A: Domain, N: int, *, n_starts: int = 8, iters: int = 200,
     rng = np.random.default_rng([seed, 77])
     anchor = int(np.argmin(np.linalg.norm(
         mesh.nodes - A.interior_point(), axis=1)))
-    inits = structured_layouts(A, N, mesh.nodes)
+    structured = structured_layouts(A, N, mesh.nodes)
+    inits = list(structured)
     inits.append(farthest_point_sample(mesh.nodes, N, anchor))
     if N <= len(mesh.nodes):
         inits.append(farthest_point_sample(
@@ -555,6 +556,12 @@ def best_covering(A: Domain, N: int, *, n_starts: int = 8, iters: int = 200,
             break
     if cr.width > tol:
         cr = covering_radius(A, pts, tol=max(tol, 1e-9))
+    # the mesh stages can settle just above a structured start that is
+    # already optimal (equal spacing on the circle); never return worse
+    for start in structured:
+        crs = covering_radius(A, start, tol=max(tol, 1e-9))
+        if crs.value < cr.value:
+            pts, cr = start, crs
     order = np.lexsort(pts.T[::-1])
     return BestCovering(pts[order], cr.value, cr.bracket, cr.farthest_point,
                         len(candidates))

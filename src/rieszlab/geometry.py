@@ -540,12 +540,16 @@ def _ellipsoid_nearest_boundary(a: np.ndarray, P: np.ndarray):
         amax = float(np.max(a))
         hi = np.where(f(np.zeros(m)) <= 1.0, 0.0,
                       amax * np.maximum(np.linalg.norm(Q, axis=1), 1.0))
+        # each row stops on its own bracket width, so a row's result does
+        # not depend on the other rows of the batch
+        done = np.zeros(m, dtype=bool)
         for _ in range(ELLIPSOID_ROOT_MAXITER):
             mid = 0.5 * (lo + hi)
             val = f(mid)
-            lo = np.where(val > 1.0, mid, lo)
-            hi = np.where(val > 1.0, hi, mid)
-            if np.max(hi - lo) <= ELLIPSOID_ROOT_TOL * max(amin2, 1.0):
+            lo = np.where(~done & (val > 1.0), mid, lo)
+            hi = np.where(~done & ~(val > 1.0), mid, hi)
+            done |= hi - lo <= ELLIPSOID_ROOT_TOL * max(amin2, 1.0)
+            if done.all():
                 break
         mu = 0.5 * (lo + hi)
         Xf = Q * a2 / (a2 + mu[:, None])

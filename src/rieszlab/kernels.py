@@ -46,17 +46,31 @@ def pair_distances(points, y) -> np.ndarray:
 def potential(points, y, s: float) -> float:
     """sum_j |y - x_j|^(-s), +inf on coincidence or overflow."""
     s = _check_s(s)
-    r = pair_distances(points, y)
-    if np.min(r) < COINCIDENCE_EPS:
-        return math.inf
+    return float(_potential_rows(pair_distances(points, y)[None, :], s)[0])
+
+
+def _potential_rows(r: np.ndarray, s: float) -> np.ndarray:
+    """The potential for each row of a (k, N) array of distances.
+
+    Each row gets exactly the arithmetic of a single evaluation: +inf on
+    coincidence, the log-sum-exp path above LOG_SCALE_S, and otherwise a
+    compensated sum of r^(-s) that degrades to +inf on overflow.
+    """
+    out = np.full(len(r), math.inf)
+    ok = np.flatnonzero(np.min(r, axis=1) >= COINCIDENCE_EPS)
+    if len(ok) == 0:
+        return out
     if s > LOG_SCALE_S:
-        lv = log_potential(points, y, s)
-        return math.inf if lv > 709.0 else math.exp(lv)
+        lv = logsumexp(-s * np.log(r[ok]), axis=1)
+        out[ok] = [math.inf if v > 709.0 else math.exp(v)
+                   for v in lv.tolist()]
+        return out
     with np.errstate(over="ignore"):
-        terms = r ** (-s)
-    if not np.all(np.isfinite(terms)):
-        return math.inf
-    return math.fsum(terms.tolist())
+        terms = r[ok] ** (-s)
+    finite = np.all(np.isfinite(terms), axis=1)
+    out[ok] = [math.fsum(t) if f else math.inf
+               for t, f in zip(terms.tolist(), finite.tolist())]
+    return out
 
 
 def log_potential(points, y, s: float) -> float:

@@ -7,6 +7,14 @@ get a Lipschitz bound, cells near one get a proximity bound, and active
 cells are refined until the bracket closes.  The outer problem (place N
 points to maximize the inner minimum) is multi-start softmin ascent with an
 exchange polish; only the final configuration pays for full certification.
+
+The outer search ranks configurations by a quick inner value (a mesh
+sweep plus short descents, exact on the interval).  That value is
+evaluated for a whole batch of configurations at once, with every row
+doing the arithmetic of a lone evaluation, and the descents of all seeds
+run in lockstep.  The compass polish uses this to try the remaining
+directions of a sweep speculatively in one batch; it takes the same moves
+as trying them one at a time.
 """
 
 from __future__ import annotations
@@ -32,11 +40,17 @@ from .geometry import (
     default_fill,
     refine_nodes,
 )
-from .kernels import potential, potential_field, potential_gradient
+from .kernels import COINCIDENCE_EPS, _potential_rows, potential_field
 
 INNER_SEEDS = 10
 INNER_MAX_LEVELS = 12
 INNER_MAX_ACTIVE = 600_000
+# elements per block of a batched quick-inner evaluation (configurations x
+# nodes x points x coordinates in a mesh sweep, configurations x gaps x
+# points in the interval bisection).  It caps a compass batch and the node
+# chunk of a mesh sweep, so the temporaries stay small enough for the core's
+# cache at any N; larger blocks ran slower per configuration at N >= 32
+BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -107,28 +121,57 @@ def _as_interior_config(A: Domain, omega) -> np.ndarray:
     return P
 
 
-def _descend_potential(A: Domain, omega: np.ndarray, s: float,
-                       y0: np.ndarray, step0: float, iters: int = 80):
-    """Projected gradient descent of the potential from y0."""
-    y = np.asarray(y0, dtype=float).copy()
-    val = potential(omega, y, s)
-    step = max(step0, 1e-12)
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, d) array.
+
+    np.linalg.norm of a 1-D vector is sqrt of a BLAS dot, which rounds
+    differently from a plain sum of squares; a stack of 1 x d by d x 1
+    products runs the same dot, so each row matches the unbatched norm.
+    """
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+
+
+def _descend(A: Domain, omegas: np.ndarray, s: float, Y0: np.ndarray,
+             step0: float, iters: int = 80):
+    """Projected gradient descents of the potential, one per row, in lockstep.
+
+    Row i descends the potential of configuration omegas[i] (shape
+    (k, N, ambient); a broadcast view serves one shared configuration)
+    from Y0[i].  Every row keeps the arithmetic of a lone descent: strict
+    decrease accepts a trial and grows the step by 1.4, a rejection halves
+    it, and a row stops on a coincidence, a zero or non-finite gradient,
+    or a step below the floor.  The distances of an accepted trial give
+    the next gradient.  Returns the end points (k, ambient) and values.
+    """
+    Y = np.array(Y0, dtype=float)
+    diff = Y[:, None, :] - omegas
+    r = np.linalg.norm(diff, axis=2)
+    val = _potential_rows(r, s)
+    step = np.full(len(Y), max(step0, 1e-12))
     floor = 1e-12 * A.diameter()
+    live = np.arange(len(Y))
     for _ in range(iters):
-        _, _, g = potential_gradient(omega, y, s)
-        gn = float(np.linalg.norm(g))
-        if not math.isfinite(gn) or gn == 0.0:
+        rl, dl = r[live], diff[live]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            coef = s * rl ** (-s - 2.0)
+            g = -np.sum(coef[:, :, None] * dl, axis=1)
+            gn = _row_norms(g)
+        go = ((np.min(rl, axis=1) >= COINCIDENCE_EPS) & np.isfinite(gn)
+              & (gn != 0.0))
+        live, g, gn = live[go], g[go], gn[go]
+        if len(live) == 0:
             break
-        trial = A.project(y - (step / gn) * g)
-        tv = potential(omega, trial, s)
-        if tv < val:
-            y, val = trial, tv
-            step *= 1.4
-        else:
-            step *= 0.5
-            if step < floor:
-                break
-    return y, val
+        trial = A.project_many(Y[live] - (step[live] / gn)[:, None] * g)
+        tdiff = trial[:, None, :] - omegas[live]
+        tr = np.linalg.norm(tdiff, axis=2)
+        tv = _potential_rows(tr, s)
+        acc = tv < val[live]
+        a = live[acc]
+        Y[a], val[a], diff[a], r[a] = trial[acc], tv[acc], tdiff[acc], tr[acc]
+        step[a] *= 1.4
+        step[live[~acc]] *= 0.5
+        live = live[acc | (step[live] >= floor)]
+    return Y, val
 
 
 def _cell_lower_bounds(A: Domain, omega: np.ndarray, nodes: np.ndarray,
@@ -162,46 +205,48 @@ def _cell_lower_bounds(A: Domain, omega: np.ndarray, nodes: np.ndarray,
         if far.any():
             fb = f[lo:lo + chunk][far]
             nb = blk[far]
-            with np.errstate(over="ignore"):
+            # at steep s the far-cell constants overflow; those bounds come
+            # out inf or nan and are discarded below
+            with np.errstate(over="ignore", invalid="ignore"):
                 L = s * np.sum(rho[far] ** (-(s + 1.0)), axis=1)
                 H = s * (s + 1.0) * np.sum(rho[far] ** (-(s + 2.0)), axis=1)
                 coef = s * d[far] ** (-(s + 2.0))
-            g = -np.einsum("ij,ijk->ik", coef, diff[far])
-            gn = np.linalg.norm(g, axis=1)
-            lip = fb - L * r
-            if on_sphere:
-                gt = g - nb * np.sum(g * nb, axis=1)[:, None]
-                taylor = (fb - np.linalg.norm(gt, axis=1) * r
-                          - 0.5 * (gn + H) * r * r)
-            elif isinstance(A, Cube):
-                # exact minimum of g.(y - n) over the per-axis feasible
-                # box [-min(r, n_k), min(r, 1 - n_k)], never worse than
-                # the euclidean drop |g| r
-                reach_lo = np.minimum(r, nb)
-                reach_hi = np.minimum(r, 1.0 - nb)
-                drop = np.sum(np.where(g > 0.0, g * reach_lo,
-                                       -g * reach_hi), axis=1)
-                drop = np.minimum(drop, gn * r)
-                taylor = fb - drop - 0.5 * H * r * r
-            elif isinstance(A, Ball):
-                # outward radial reach is capped by (1 - |n|^2)/(2|n|)
-                # (from |y| <= 1), so a boundary-hugging cell loses only
-                # the tangential component
-                nn = np.linalg.norm(nb, axis=1)
-                nhat = nb / np.maximum(nn, 1e-30)[:, None]
-                gr = np.sum(g * nhat, axis=1)
-                gt = np.linalg.norm(g - gr[:, None] * nhat, axis=1)
-                cap = np.minimum(r, (1.0 - nn ** 2) /
-                                 np.maximum(2.0 * nn, 1e-30))
-                drop = gt * r + np.where(gr > 0.0, gr * r, -gr * cap)
-                drop = np.minimum(drop, gn * r)
-                taylor = fb - drop - 0.5 * H * r * r
-            elif isinstance(A, Ellipsoid):
-                taylor = fb - gn * r - 0.5 * H * r * r
-            else:
-                taylor = lip
-            cand = np.maximum(lip, taylor)
-            cand[~np.isfinite(cand)] = -math.inf
+                g = -np.einsum("ij,ijk->ik", coef, diff[far])
+                gn = np.linalg.norm(g, axis=1)
+                lip = fb - L * r
+                if on_sphere:
+                    gt = g - nb * np.sum(g * nb, axis=1)[:, None]
+                    taylor = (fb - np.linalg.norm(gt, axis=1) * r
+                              - 0.5 * (gn + H) * r * r)
+                elif isinstance(A, Cube):
+                    # exact minimum of g.(y - n) over the per-axis feasible
+                    # box [-min(r, n_k), min(r, 1 - n_k)], never worse than
+                    # the euclidean drop |g| r
+                    reach_lo = np.minimum(r, nb)
+                    reach_hi = np.minimum(r, 1.0 - nb)
+                    drop = np.sum(np.where(g > 0.0, g * reach_lo,
+                                           -g * reach_hi), axis=1)
+                    drop = np.minimum(drop, gn * r)
+                    taylor = fb - drop - 0.5 * H * r * r
+                elif isinstance(A, Ball):
+                    # outward radial reach is capped by (1 - |n|^2)/(2|n|)
+                    # (from |y| <= 1), so a boundary-hugging cell loses only
+                    # the tangential component
+                    nn = np.linalg.norm(nb, axis=1)
+                    nhat = nb / np.maximum(nn, 1e-30)[:, None]
+                    gr = np.sum(g * nhat, axis=1)
+                    gt = np.linalg.norm(g - gr[:, None] * nhat, axis=1)
+                    cap = np.minimum(r, (1.0 - nn ** 2) /
+                                     np.maximum(2.0 * nn, 1e-30))
+                    drop = gt * r + np.where(gr > 0.0, gr * r, -gr * cap)
+                    drop = np.minimum(drop, gn * r)
+                    taylor = fb - drop - 0.5 * H * r * r
+                elif isinstance(A, Ellipsoid):
+                    taylor = fb - gn * r - 0.5 * H * r * r
+                else:
+                    taylor = lip
+                cand = np.maximum(lip, taylor)
+                cand[~np.isfinite(cand)] = -math.inf
             tmp = bound[far]
             bound[far] = np.maximum(tmp, cand)
         out[lo:lo + chunk] = bound
@@ -236,11 +281,12 @@ def inner_min(A: Domain, omega, s: float, tol: float = 1e-4, *,
     for level in range(max_levels + 1):
         f = potential_field(omega, nodes, s)
         evaluated += len(nodes)
-        n_seed = INNER_SEEDS if level == 0 else 2
-        for i in np.argsort(f)[:n_seed]:
+        seeds = np.argsort(f)[:INNER_SEEDS if level == 0 else 2]
+        Y, V = _descend(A, np.broadcast_to(omega, (len(seeds),) + omega.shape),
+                        s, nodes[seeds], r)
+        for i, y, v in zip(seeds, Y, V.tolist()):
             if f[i] < upper:
                 upper, witness = float(f[i]), nodes[i].copy()
-            y, v = _descend_potential(A, omega, s, nodes[i], r)
             if v < upper:
                 upper, witness = v, y
         bounds = _cell_lower_bounds(A, omega, nodes, f, r, s)
@@ -276,69 +322,105 @@ def _covering_init(A: Domain, N: int) -> np.ndarray:
     return _COVERING_INIT_CACHE[key]
 
 
-def _interval_inner_exact(omega: np.ndarray, s: float):
-    """Exact inner min for a configuration on [0, 1].
+def _interval_inner_exact(X: np.ndarray, s: float):
+    """Exact inner min for a batch of configurations on [0, 1], (B, N, 1).
 
     The potential is strictly convex on every gap between adjacent
     charges and monotone on the two outer segments, so the minimum is
     either an endpoint of [0, 1] or the unique zero of the derivative
-    inside some gap; the zeros are bisected for all gaps at once.
+    inside some gap; the zeros are bisected for all gaps of all
+    configurations at once.  Collapsed gaps (width <= 1e-15) are bisected
+    along with the others and then ignored.  Returns values (B,) and
+    minimizers (B, 1).
     """
-    x = np.sort(omega.ravel())
-    cand_y = [0.0, 1.0]
+    x = np.sort(X[:, :, 0], axis=1)
+    rows = np.arange(len(x))
     with np.errstate(divide="ignore", over="ignore"):
-        cand_v = [float(np.sum(np.abs(x) ** -s)),
-                  float(np.sum(np.abs(1.0 - x) ** -s))]
-    lo, hi = x[:-1].copy(), x[1:].copy()
+        cand_v = [np.sum(np.abs(x) ** -s, axis=1),
+                  np.sum(np.abs(1.0 - x) ** -s, axis=1)]
+    cand_y = [np.zeros(len(x)), np.ones(len(x))]
+    lo, hi = x[:, :-1], x[:, 1:]
     keep = hi - lo > 1e-15
-    lo, hi = lo[keep], hi[keep]
-    if len(lo):
-        xs = x[None, :]
-        for _ in range(64):
+    if lo.shape[1]:
+        xs = x[:, None, :]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                diff = mid[:, :, None] - xs
+                g = -s * np.sum(np.sign(diff) * np.abs(diff) ** -(s + 1.0),
+                                axis=2)
+                neg = g < 0.0
+                lo = np.where(neg, mid, lo)
+                hi = np.where(neg, hi, mid)
             mid = 0.5 * (lo + hi)
-            diff = mid[:, None] - xs
-            g = -s * np.sum(np.sign(diff) * np.abs(diff) ** -(s + 1.0),
-                            axis=1)
-            neg = g < 0.0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        mid = 0.5 * (lo + hi)
-        vals = np.sum(np.abs(mid[:, None] - xs) ** -s, axis=1)
-        k = int(np.argmin(vals))
-        cand_y.append(float(mid[k]))
-        cand_v.append(float(vals[k]))
-    j = int(np.argmin(cand_v))
-    return cand_v[j], np.array([cand_y[j]])
+            vals = np.sum(np.abs(mid[:, :, None] - xs) ** -s, axis=2)
+        vals = np.where(keep, vals, math.inf)
+        k = np.argmin(vals, axis=1)
+        cand_y.append(mid[rows, k])
+        cand_v.append(vals[rows, k])
+    cand_v, cand_y = np.stack(cand_v, axis=1), np.stack(cand_y, axis=1)
+    j = np.argmin(cand_v, axis=1)
+    return cand_v[rows, j], cand_y[rows, j][:, None]
+
+
+def _seed_choice(nodes: np.ndarray, top: np.ndarray, r: float) -> list:
+    """Up to four of the low nodes top (in order) more than 4r apart."""
+    T = nodes[top]
+    far = (_row_norms((T[:, None, :] - T[None, :, :]).reshape(-1, T.shape[1]))
+           .reshape(len(T), len(T)) > 4.0 * r).tolist()
+    seeds = []
+    for p in range(len(T)):
+        if all(far[p][q] for q in seeds):
+            seeds.append(p)
+            if len(seeds) == 4:
+                break
+    return [int(top[p]) for p in seeds]
+
+
+def _inner_upper_many(A: Domain, X: np.ndarray, s: float,
+                      nodes: np.ndarray, r: float):
+    """Quick upper estimates of the inner min for a batch of configurations.
+
+    X has shape (B, N, ambient).  Near-optimal configurations equalize
+    several competing minima, so a single descent from the global mesh
+    argmin leaves the other basins evaluated only to mesh accuracy and the
+    polish steps that rely on this estimate stall on that noise.  Each
+    configuration gets a mesh sweep, then descents from up to four
+    well-separated low nodes; all descents of the batch run in one
+    lockstep call.  On the interval every basin is a gap with a convex
+    restriction, so the value there is exact.  Each row's result is what
+    a batch of one gives.  Returns values (B,) and witnesses (B, ambient).
+    """
+    if isinstance(A, Cube) and A.d == 1:
+        return _interval_inner_exact(X, s)
+    F = np.empty((len(X), len(nodes)))
+    chunk = max(1, BATCH_ELEMENTS // X.size)
+    for lo in range(0, len(nodes), chunk):
+        dist = np.linalg.norm(nodes[None, lo:lo + chunk, None, :]
+                              - X[:, None, :, :], axis=3)
+        with np.errstate(divide="ignore", over="ignore"):
+            F[:, lo:lo + chunk] = np.sum(dist ** (-s), axis=2)
+    order = np.argsort(F, axis=1)
+    rows = np.arange(len(X))
+    best_v = F[rows, order[:, 0]]
+    best_y = nodes[order[:, 0]]
+    owner, starts = [], []
+    for b in rows:
+        seeds = _seed_choice(nodes, order[b, :64], r)
+        owner += [b] * len(seeds)
+        starts += seeds
+    Y, V = _descend(A, X[owner], s, nodes[starts], r)
+    for b, y, v in zip(owner, Y, V.tolist()):
+        if v < best_v[b]:
+            best_v[b], best_y[b] = v, y
+    return best_v, best_y
 
 
 def _inner_upper(A: Domain, omega: np.ndarray, s: float,
                  nodes: np.ndarray, r: float):
-    """Quick upper estimate of the inner min: mesh sweep + local descents.
-
-    Near-optimal configurations equalize several competing minima, so a
-    single descent from the global mesh argmin leaves the other basins
-    evaluated only to mesh accuracy and the polish steps that rely on
-    this estimate stall on that noise.  Descend from up to four
-    well-separated low nodes instead; on the interval every basin is a
-    gap with a convex restriction, so the value there is exact.
-    """
-    if isinstance(A, Cube) and A.d == 1:
-        return _interval_inner_exact(omega, s)
-    f = potential_field(omega, nodes, s)
-    order = np.argsort(f)
-    seeds = []
-    for i in order[:64]:
-        if all(np.linalg.norm(nodes[i] - nodes[j]) > 4.0 * r for j in seeds):
-            seeds.append(int(i))
-            if len(seeds) == 4:
-                break
-    i0 = int(order[0])
-    best_v, best_y = float(f[i0]), nodes[i0].copy()
-    for i in seeds:
-        y, v = _descend_potential(A, omega, s, nodes[i], r)
-        if v < best_v:
-            best_v, best_y = v, y
-    return best_v, best_y
+    """_inner_upper_many for one configuration: (value, witness)."""
+    v, y = _inner_upper_many(A, omega[None], s, nodes, r)
+    return float(v[0]), y[0]
 
 
 def _soft_ascent(A: Domain, nodes: np.ndarray, x: np.ndarray, s: float,
@@ -441,11 +523,26 @@ def _compass_config(A: Domain, x: np.ndarray, s: float, nodes: np.ndarray,
     improvement needs two points moved together, so on the interval the
     pattern also carries squeeze, spread and joint-shift moves for each
     adjacent pair.
+
+    A sweep tries its directions in order and takes each one that improves
+    the value.  Most trials improve nothing, so the sweep evaluates its
+    remaining directions from the current x speculatively, as one batch of
+    at most BATCH_ELEMENTS elements, accepts the first improving one, and
+    re-batches the directions after it from the new x.  After a hit the
+    next batch holds twice the directions that hit took, and each batch
+    without one doubles it again, so frequent hits waste little work.  The
+    moves taken and the evaluation count are those of the one-at-a-time
+    sweep.
     """
     val, _ = _inner_upper(A, x, s, nodes, r)
     step = 0.05 * spacing
     evals = 0
     pair_moves = x.shape[1] == 1 and len(x) >= 2
+    if isinstance(A, Cube) and A.d == 1:
+        per = len(x) * len(x)
+    else:
+        per = len(x) * len(nodes) * A.ambient
+    batch = size = max(1, BATCH_ELEMENTS // per)
     while step > 1e-7 * A.diameter() and evals < budget:
         improved = False
         dirs = []
@@ -463,13 +560,24 @@ def _compass_config(A: Domain, x: np.ndarray, s: float, nodes: np.ndarray,
                     e = np.zeros_like(x)
                     e[a, 0], e[b, 0] = sa, sb
                     dirs.append(e)
-        for e in dirs:
-            cand = A.project_many(x + step * e)
-            cv, _ = _inner_upper(A, cand, s, nodes, r)
-            evals += 1
-            if cv > val * (1.0 + 1e-13):
-                x, val = cand, cv
+        dirs = np.array(dirs)
+        i = 0
+        while i < len(dirs):
+            E = dirs[i:i + size]
+            cand = A.project_many((x + step * E).reshape(-1, x.shape[1]))
+            cand = cand.reshape(E.shape)
+            cv, _ = _inner_upper_many(A, cand, s, nodes, r)
+            hit = np.flatnonzero(cv > val * (1.0 + 1e-13))
+            if len(hit):
+                j = int(hit[0])
+                x, val = cand[j], float(cv[j])
                 improved = True
+                i += j + 1
+                size = min(2 * (j + 1), batch)
+            else:
+                i += len(E)
+                size = min(2 * size, batch)
+        evals += len(dirs)
         if not improved:
             step /= 2.0
     return x, val

@@ -130,6 +130,7 @@ def test_candidate_matches_end_gap_closed_form(candidate_limit_s3):
     assert candidate_limit_s3.limit == pytest.approx(16.42898, rel=1e-3)
 
 
+@pytest.mark.slow
 def test_sigma_interval_near_candidate(candidate_limit_s3, interval_sigma_s3):
     fit = interval_sigma_s3
     assert fit.method == "power_fit" and fit.root == 1.0
@@ -138,6 +139,7 @@ def test_sigma_interval_near_candidate(candidate_limit_s3, interval_sigma_s3):
     assert fit.limit == pytest.approx(16.612, rel=1e-2)
 
 
+@pytest.mark.slow
 def test_sigma_interval_near_closed_form(interval_sigma_s3):
     # optimal interval configurations pull the end charges in, lifting the
     # constant to 2**(s+1) * sum over odd k of k**-s
@@ -145,6 +147,7 @@ def test_sigma_interval_near_closed_form(interval_sigma_s3):
     assert abs(interval_sigma_s3.limit - sigma) / sigma <= 0.03
 
 
+@pytest.mark.slow
 def test_sigma_interval_window_consistency():
     w1 = estimate_sigma(Cube(1), 4.0, [8, 12, 16, 24, 32], opts=LIGHT1)
     w2 = estimate_sigma(Cube(1), 4.0, [16, 24, 32, 48, 64], opts=LIGHT1)
@@ -171,6 +174,7 @@ def test_sigma_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_sigma_domain_independence_d2():
     # the normalized limit depends only on (s, d) once measure is divided
     # out, so square and disk estimates must agree
@@ -195,6 +199,7 @@ def test_covering_constant_interval_exact():
     assert fit.exponent == 1.0
 
 
+@pytest.mark.slow
 def test_covering_constant_disk_near_density_target():
     fit = estimate_covering_constant(Ball(2), [8, 12, 16, 24, 32])
     target = math.sqrt(2.0) / 27.0 ** 0.25 * math.sqrt(math.pi)

@@ -213,6 +213,15 @@ def test_best_covering_interval_exact():
     assert out.rho == pytest.approx(1 / 6, abs=1e-9)
 
 
+@pytest.mark.parametrize("N", [5, 6, 7, 8, 9])
+def test_best_covering_circle_equal_spacing(N):
+    # equal spacing is optimal on the circle: rho = 2 sin(pi / (2N))
+    exact = 2.0 * math.sin(math.pi / (2 * N))
+    out = best_covering(Sphere(1), N)
+    assert abs(out.rho - exact) <= 1e-6
+    assert out.bracket[0] - 1e-12 <= exact <= out.bracket[1] + 1e-12
+
+
 def test_best_covering_square_single_point():
     out = best_covering(Cube(2), 1, n_starts=2, seed=0)
     np.testing.assert_allclose(out.points[0], [0.5, 0.5], atol=1e-3)

@@ -6,12 +6,20 @@ minimization, and an exact-inner-min brute force over configuration
 grids for two charges on the interval.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from rieszlab import polarization
 from rieszlab.covering import best_covering
-from rieszlab.geometry import Ball, Cube, Ellipsoid, Sphere
-from rieszlab.kernels import potential
+from rieszlab.geometry import Ball, Cube, Ellipsoid, Sphere, default_fill
+from rieszlab.kernels import (
+    LOG_SCALE_S,
+    potential,
+    potential_field,
+    potential_gradient,
+)
 from rieszlab.polarization import (
     SolverOptions,
     inner_min,
@@ -226,3 +234,172 @@ class TestCurve:
     def test_requires_increasing_sizes(self):
         with pytest.raises(ValueError):
             polarization_curve(Cube(1), 3.0, [2, 2], LIGHT)
+
+
+def reference_descent(A, omega, s, y0, step0, iters=80):
+    """One projected descent, one kernel call per value and gradient."""
+    y = np.asarray(y0, dtype=float).copy()
+    val = potential(omega, y, s)
+    step = max(step0, 1e-12)
+    floor = 1e-12 * A.diameter()
+    for _ in range(iters):
+        _, _, g = potential_gradient(omega, y, s)
+        gn = float(np.linalg.norm(g))
+        if not np.isfinite(gn) or gn == 0.0:
+            break
+        trial = A.project(y - (step / gn) * g)
+        tv = potential(omega, trial, s)
+        if tv < val:
+            y, val = trial, tv
+            step *= 1.4
+        else:
+            step *= 0.5
+            if step < floor:
+                break
+    return y, val
+
+
+def reference_inner_upper(A, omega, s, nodes, r):
+    """The quick inner value of one configuration, one descent at a time:
+    exact gap bisection on the interval, else the mesh argmin and descents
+    from up to four low nodes more than 4r apart."""
+    if isinstance(A, Cube) and A.d == 1:
+        x = np.sort(omega.ravel())
+        cand_y = [0.0, 1.0]
+        with np.errstate(divide="ignore", over="ignore"):
+            cand_v = [float(np.sum(np.abs(x) ** -s)),
+                      float(np.sum(np.abs(1.0 - x) ** -s))]
+        lo, hi = x[:-1].copy(), x[1:].copy()
+        keep = hi - lo > 1e-15
+        lo, hi = lo[keep], hi[keep]
+        if len(lo):
+            with np.errstate(divide="ignore", over="ignore"):
+                for _ in range(64):
+                    mid = 0.5 * (lo + hi)
+                    diff = mid[:, None] - x[None, :]
+                    g = -s * np.sum(np.sign(diff) * np.abs(diff) ** -(s + 1.0),
+                                    axis=1)
+                    lo = np.where(g < 0.0, mid, lo)
+                    hi = np.where(g < 0.0, hi, mid)
+                mid = 0.5 * (lo + hi)
+                vals = np.sum(np.abs(mid[:, None] - x[None, :]) ** -s, axis=1)
+            k = int(np.argmin(vals))
+            cand_y.append(float(mid[k]))
+            cand_v.append(float(vals[k]))
+        j = int(np.argmin(cand_v))
+        return cand_v[j], np.array([cand_y[j]])
+    f = potential_field(omega, nodes, s)
+    order = np.argsort(f)
+    seeds = []
+    for i in order[:64]:
+        if all(np.linalg.norm(nodes[i] - nodes[j]) > 4.0 * r for j in seeds):
+            seeds.append(int(i))
+            if len(seeds) == 4:
+                break
+    best_v, best_y = float(f[order[0]]), nodes[order[0]].copy()
+    for i in seeds:
+        y, v = reference_descent(A, omega, s, nodes[i], r)
+        if v < best_v:
+            best_v, best_y = v, y
+    return best_v, best_y
+
+
+class TestBatchedInner:
+    """Each row of a batched quick-inner evaluation is the batch of one,
+    and both equal the one-at-a-time reference bit for bit."""
+
+    @staticmethod
+    def _mesh(A, N):
+        mesh = A.build_mesh(0.5 * default_fill(A, N))
+        return mesh.nodes, mesh.fill_distance
+
+    @staticmethod
+    def _assert_rows_match(A, X, s, nodes, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            V, Y = polarization._inner_upper_many(A, X, s, nodes, r)
+            for b in range(len(X)):
+                v, y = polarization._inner_upper(A, X[b], s, nodes, r)
+                assert v == V[b] or (np.isinf(v) and np.isinf(V[b]))
+                assert np.array_equal(y, Y[b])
+                v, y = reference_inner_upper(A, X[b], s, nodes, r)
+                assert v == V[b] or (np.isinf(v) and np.isinf(V[b]))
+                assert np.array_equal(y, Y[b])
+        return V
+
+    @pytest.mark.parametrize("A", [Sphere(1), Cube(2), Ball(2)],
+                             ids=["sphere1", "cube2", "ball2"])
+    @pytest.mark.parametrize("s", [2.0, 6.0, LOG_SCALE_S + 5.0])
+    def test_mesh_rows_match_single(self, A, s):
+        rng = np.random.default_rng(3)
+        N = 4
+        nodes, r = self._mesh(A, N)
+        X = np.stack([A.sample(rng, N) for _ in range(5)])
+        X[1, 2] = nodes[7]                      # a point on a mesh node
+        V = self._assert_rows_match(A, X, s, nodes, r)
+        assert np.all(V > 0.0)
+
+    @pytest.mark.parametrize("s", [3.0, 8.0, LOG_SCALE_S + 5.0])
+    def test_interval_rows_match_single(self, s):
+        A = Cube(1)
+        rng = np.random.default_rng(4)
+        nodes, r = self._mesh(A, 5)
+        X = rng.random((6, 5, 1))
+        X[2, 3] = X[2, 1] + 1e-16               # collapsed gap
+        X[3, :] = 0.5                           # every gap collapsed
+        X[4, 0] = 0.0                           # charge on the endpoint
+        self._assert_rows_match(A, X, s, nodes, r)
+        self._assert_rows_match(A, rng.random((3, 1, 1)), s, nodes, r)
+
+    def test_interval_single_charge_exact(self):
+        v, y = polarization._inner_upper(Cube(1), np.array([[0.5]]), 3.0,
+                                         *self._mesh(Cube(1), 1))
+        assert v == 8.0 and y[0] in (0.0, 1.0)
+
+    @pytest.mark.parametrize("s", [4.0, LOG_SCALE_S + 20.0])
+    def test_descent_rows_match_single(self, s):
+        A = Cube(2)
+        rng = np.random.default_rng(5)
+        omegas = rng.random((6, 5, 2))
+        Y0 = rng.random((6, 2))
+        Y0[2] = omegas[2, 0]                    # start on a charge
+        Y, V = polarization._descend(A, omegas, s, Y0, 0.05)
+        assert np.isinf(V[2]) and np.array_equal(Y[2], Y0[2])
+        for i in range(len(Y0)):
+            y, v = polarization._descend(A, omegas[i:i + 1], s, Y0[i:i + 1],
+                                         0.05)
+            assert np.array_equal(y[0], Y[i])
+            assert v[0] == V[i] or (np.isinf(v[0]) and np.isinf(V[i]))
+            y, v = reference_descent(A, omegas[i], s, Y0[i], 0.05)
+            assert np.array_equal(y, Y[i])
+            assert v == V[i] or (np.isinf(v) and np.isinf(V[i]))
+            if np.isfinite(V[i]):
+                assert V[i] <= potential(omegas[i], Y0[i], s)
+
+    def test_compass_batch_cap_invariance(self, monkeypatch):
+        A, N, s = Cube(1), 5, 8.0
+        nodes, r = self._mesh(A, N)
+        x0 = np.linspace(0.1, 0.9, N)[:, None]
+        x, v = polarization._compass_config(A, x0, s, nodes, r, 1.0 / N,
+                                            budget=400)
+        v0, _ = polarization._inner_upper(A, x0, s, nodes, r)
+        assert v > v0 and not np.array_equal(x, x0)   # moves were taken
+        monkeypatch.setattr(polarization, "BATCH_ELEMENTS", 1)
+        x1, v1 = polarization._compass_config(A, x0, s, nodes, r, 1.0 / N,
+                                              budget=400)
+        assert np.array_equal(x, x1) and v == v1
+
+
+def test_inner_min_steep_kernel_is_quiet():
+    # at s=128 the far-cell constants overflow; the call must stay silent
+    # and keep its bracket (s-th root near 3 sqrt(2), the corner distance)
+    ax = np.array([1.0, 3.0, 5.0]) / 6.0
+    X = np.array([[a, b] for a in ax for b in ax])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = inner_min(Cube(2), X, 128.0)
+    assert r.certified
+    assert r.bracket == pytest.approx((2.1747147701483743e+80,
+                                       2.1749051748733853e+80), rel=1e-9)
+    assert r.bracket[1] ** (1.0 / 128.0) == pytest.approx(3.0 * np.sqrt(2.0),
+                                                          rel=1e-6)
