@@ -283,7 +283,6 @@ class BoundsProfile:
     p_hat: float      # min value / N^{s/d}
     b_hat: float      # boundary repulsion constant, see _repulsion_constant
     eta_hat: float    # largest ball-count eta that every run satisfies
-    r_formula: float  # calibrated covering-radius bound; R_hat <= r_formula
 
 
 def _repulsion_constant(A: Domain, config: np.ndarray, N: int) -> float:
@@ -311,12 +310,7 @@ def _repulsion_constant(A: Domain, config: np.ndarray, N: int) -> float:
 
 
 def bounds_profile(A: Domain, runs) -> BoundsProfile:
-    """Scaling constants from polarization runs on A at a common s.
-
-    The covering-radius bound is re-evaluated with its domain constant
-    calibrated once, from the smallest-N run, then held fixed; the reported
-    r_formula is the bound's value under that calibration.
-    """
+    """Scaling constants from polarization runs on A at a common s."""
     runs = list(runs)
     if not runs:
         raise ValueError("empty run archive")
@@ -330,7 +324,6 @@ def bounds_profile(A: Domain, runs) -> BoundsProfile:
     c_hat = math.inf
     C_hat, p_hat = -math.inf, math.inf
     R_hat, b_hat, eta_hat = -math.inf, math.inf, math.inf
-    smallest = None
     for r in runs:
         N = len(r.config)
         nd = N ** (1.0 / d)
@@ -338,24 +331,7 @@ def bounds_profile(A: Domain, runs) -> BoundsProfile:
         norm = r.value / N ** (s / d)
         C_hat, p_hat = max(C_hat, norm), min(p_hat, norm)
         rho = covering_radius(A, r.config).bracket[1]
-        R_run = float(nd * rho)
-        R_hat = max(R_hat, R_run)
+        R_hat = max(R_hat, float(nd * rho))
         b_hat = min(b_hat, _repulsion_constant(A, r.config, N))
         eta_hat = min(eta_hat, weak_separation_verdict(A, r.config).eta_star)
-        if smallest is None or N < smallest[0]:
-            smallest = (N, R_run)
-
-    M = 2 * d - 1
-    if eta_hat > 0.0 and s > d:
-        # calibrate the only free constant so the bound is tight on the
-        # smallest run, then report the bound every run must stay under
-        ratio = (7.0 / 5.0) ** s
-        C_dom = (smallest[1] ** (s - d) * p_hat * (s - d) * eta_hat ** d
-                 / (ratio * M * s))
-        r_formula = float((ratio * C_dom * M * s
-                           / (p_hat * (s - d) * eta_hat ** d))
-                          ** (1.0 / (s - d)))
-    else:
-        r_formula = math.inf
-    return BoundsProfile(s, c_hat, C_hat, R_hat, p_hat, b_hat, eta_hat,
-                         r_formula)
+    return BoundsProfile(s, c_hat, C_hat, R_hat, p_hat, b_hat, eta_hat)

@@ -3,7 +3,8 @@
 Covering radii are computed with certified brackets: the farthest-point
 function y -> min_j |y - x_j| is 1-Lipschitz, so a mesh sweep brackets the
 maximum between the best node value and that value plus the fill distance,
-and local refinement shrinks the bracket to tolerance.  Weak-separation
+and local refinement shrinks the bracket to tolerance; the refinement is
+``geometry.branch_and_bound``, run on the negated function.  Weak-separation
 counts (max points of a configuration inside a ball of radius r) are exact,
 via branch-and-bound over minimal enclosing balls.
 """
@@ -24,7 +25,7 @@ from .geometry import (
     Ellipsoid,
     Sphere,
     SphericalCap,
-    refine_nodes,
+    branch_and_bound,
     spherical_cap_measure,
     unit_ball_volume,
 )
@@ -187,32 +188,24 @@ def covering_radius(A: Domain, points, tol: float = 1e-3,
     attainable at nondegenerate maxima.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    h = 0.25 * A.diameter()
-    mesh = A.build_mesh(h)
-    nodes, r = mesh.nodes, mesh.fill_distance
-    evaluated = 0
-    best = -math.inf
-    best_point = None
-    for level in range(max_levels + 1):
-        g = min_distance_field(P, nodes)
-        evaluated += len(nodes)
-        top = int(np.argmax(g))
-        if g[top] > best:
-            best, best_point = float(g[top]), nodes[top]
-        y_pol, v_pol = _ascend_min_distance(A, P, nodes[top], r)
-        if v_pol > best:
-            best, best_point = v_pol, y_pol
-        ub = max(best, float(np.max(g)) + r)
-        if ub - best <= tol:
-            return CoveringRadius(best, (best, ub), best_point, level, evaluated)
-        active = nodes[g + r > best]
-        if len(active) == 0:
-            return CoveringRadius(best, (best, best), best_point, level, evaluated)
-        if len(active) > max_active:
-            break
-        nodes = refine_nodes(A, active, r)
-        r /= 2.0
-    return CoveringRadius(best, (best, ub), best_point, level, evaluated)
+
+    # minimize -g for g(y) = min_j |y - x_j|; g is 1-Lipschitz, so -g - r
+    # bounds a radius-r cell, and negation is exact, so the bracket keeps
+    # the bits of a direct maximization
+    def evaluate(nodes, r):
+        f = -min_distance_field(P, nodes)
+        return f, f - r
+
+    def polish(nodes, f, r, level):
+        top = int(np.argmin(f))
+        yield float(f[top]), nodes[top]
+        y, v = _ascend_min_distance(A, P, nodes[top], r)
+        yield -v, y
+
+    lower, upper, point, _, level, evaluated = branch_and_bound(
+        A, A.build_mesh(0.25 * A.diameter()), evaluate, polish,
+        lambda lo, up: up - lo <= tol, max_levels, max_active)
+    return CoveringRadius(-upper, (-upper, -lower), point, level, evaluated)
 
 
 def _ascend_min_distance(A: Domain, P: np.ndarray, y0: np.ndarray,

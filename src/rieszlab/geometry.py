@@ -584,8 +584,7 @@ def _mesh_solid(A: Domain, box_half: np.ndarray, h: float) -> Mesh:
     G = np.stack([m.ravel() for m in mats], axis=1)
     half_diag = spacing * math.sqrt(d) / 2.0
 
-    inside = np.array([A.contains(g, tol=0.0) for g in G]) \
-        if d > 3 else _solid_inside_mask(A, G)
+    inside = _solid_inside_mask(A, G)
     nodes_in = G[inside]
     outside = G[~inside]
     extra = np.empty((0, d))
@@ -775,3 +774,41 @@ def refine_nodes(A: Domain, centers: np.ndarray, r: float) -> np.ndarray:
     cand = A.project_many(cand)
     fine = np.round(cand / (g / 64.0)).astype(np.int64)
     return cand[_unique_row_indices(fine)]
+
+
+def branch_and_bound(A: Domain, mesh: Mesh, evaluate, polish, close,
+                     max_levels: int, max_active: int):
+    """Certified bracket on the minimum of a function over A.
+
+    Each level evaluates the function on the current nodes, whose balls of
+    radius r cover the live part of A.  ``evaluate(nodes, r)`` returns the
+    node values and a lower bound on the function over each node's cell;
+    ``polish(nodes, values, r, level)`` yields (value, point) candidates,
+    and the first strictly lower one becomes the upper end.  The lower end
+    is the smallest cell bound, clamped to the upper end.  The search stops
+    certified once ``close(lower, upper)`` holds or no cell bound lies
+    below the upper end; otherwise the cells that may still hold the
+    minimum are refined with radius r/2.  It stops uncertified when that
+    front exceeds max_active nodes or after max_levels refinements.
+    Returns (lower, upper, point, certified, level, nodes evaluated).
+    """
+    nodes, r = mesh.nodes, mesh.fill_distance
+    upper, point = math.inf, None
+    evaluated = 0
+    for level in range(max_levels + 1):
+        values, bounds = evaluate(nodes, r)
+        evaluated += len(nodes)
+        for v, y in polish(nodes, values, r, level):
+            if v < upper:
+                upper, point = v, y
+        lower = min(float(np.min(bounds)), upper)
+        if close(lower, upper):
+            return lower, upper, point, True, level, evaluated
+        active = nodes[bounds < upper]
+        if len(active) == 0:
+            return upper, upper, point, True, level, evaluated
+        if len(active) > max_active or level == max_levels:
+            break
+        nodes = refine_nodes(A, active, r)
+        r /= 2.0
+    return lower, upper, point, False, level, evaluated

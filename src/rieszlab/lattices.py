@@ -1,4 +1,4 @@
-"""Lattice ball coverings: radii, densities, and the covering-number chain."""
+"""Lattice ball coverings: covering radii and covering densities."""
 
 import itertools
 import math
@@ -7,18 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .asymptotics import estimate_covering_constant, estimate_sigma
-from .covering import best_covering, covering_radius
-from .geometry import Ball, Cube, Domain, Sphere, unit_ball_volume
-from .polarization import SolverOptions
+from .geometry import unit_ball_volume
 
 __all__ = [
-    "CoveringCount",
-    "GammaChainReport",
     "Lattice",
-    "covering_count",
-    "density_by_counting",
-    "gamma_chain_check",
     "lattice_covering_radius",
     "lattice_density",
     "make_lattice",
@@ -176,6 +168,18 @@ def _deep_hole_search(B: np.ndarray, mesh_m: int, n_ascents: int,
                 y, val = probes[k], float(pv[k])
             else:
                 step *= 0.5
+        # the ascent stalls on a ridge near a Voronoi vertex, the
+        # circumcenter of the d+1 lattice points nearest y; the distance
+        # at any point is a lower bound, so the vertex may replace y
+        V = (np.rint(Rinv @ y) + offsets) @ R.T
+        near = V[np.argsort(np.sum((V - y) ** 2, axis=1))[:d + 1]]
+        try:
+            c = np.linalg.solve(2.0 * (near[1:] - near[0]),
+                                np.sum(near[1:] ** 2 - near[0] ** 2, axis=1))
+            val = max(val, float(_dist_to_lattice(R, Rinv, offsets,
+                                                  c[None])[0]))
+        except np.linalg.LinAlgError:
+            pass
         best = max(best, val)
     return best, (best, upper)
 
@@ -253,167 +257,3 @@ def lattice_density(L: Lattice, d: int = None) -> float:
     if d is not None and int(d) != dim:
         raise ValueError("declared dimension disagrees with the basis")
     return unit_ball_volume(dim) * L.covering_radius ** dim / L.det
-
-
-def density_by_counting(L: Lattice, R_list) -> list:
-    """Density estimates from center counts in [-R, R]^d.
-
-    Counting centers instead of measuring overlaps changes the limit by
-    exactly V_d * R_cov^d, so each entry converges to lattice_density
-    with an O(1/R) boundary error.
-    """
-    R_list = [float(R) for R in R_list]
-    if any(b <= a for a, b in zip(R_list, R_list[1:])) or R_list[0] <= 0:
-        raise ValueError("R_list must be positive and increasing")
-    B = L.basis
-    d = B.shape[0]
-    Binv = np.linalg.inv(B)
-    vol = unit_ball_volume(d) * L.covering_radius ** d
-    out = []
-    for R in R_list:
-        lim = np.ceil(R * np.sum(np.abs(Binv), axis=1) + 1e-9).astype(int)
-        ranges = [np.arange(-m, m + 1) for m in lim]
-        coefs = np.array(np.meshgrid(*ranges, indexing="ij")).reshape(d, -1).T
-        pts = coefs @ B.T
-        count = int(np.sum(np.all(np.abs(pts) <= R + 1e-9, axis=1)))
-        out.append(count * vol / (2.0 * R) ** d)
-    return out
-
-
-@dataclass(eq=False)
-class CoveringCount:
-    """Bracket on the minimal number of r-balls covering the domain."""
-
-    n_upper: int          # certified: best_covering at n_upper has rho <= r
-    n_lower: int          # from a greedy packing at pairwise distance > 2r
-    rho_upper: float      # certified covering radius of the n_upper points
-
-
-def _domain_diameter(A: Domain) -> float:
-    if isinstance(A, Cube):
-        return math.sqrt(A.d)
-    if isinstance(A, (Ball, Sphere)):
-        return 2.0
-    nodes = A.build_mesh(0.05).nodes
-    c = np.mean(nodes, axis=0)
-    return 2.0 * float(np.max(np.linalg.norm(nodes - c, axis=1)))
-
-
-def covering_count(A: Domain = None, r: float = None,
-                   opts: dict = None) -> CoveringCount:
-    """Smallest certified N with rho_A(N) <= r, plus a packing lower bound.
-
-    Exact minimal covering numbers are out of reach; the upper count comes
-    from binary search over certified best coverings, the lower count from
-    a greedy set of points at pairwise distance > 2r, no two of which fit
-    in one r-ball.
-    """
-    if A is None:
-        A = Cube(2)
-    r = float(r)
-    if not (0.0 < r < _domain_diameter(A)):
-        raise ValueError("r must lie strictly between 0 and the diameter")
-    kw = dict(n_starts=6, iters=150, seed=0, tol=1e-5)
-    kw.update(opts or {})
-    # ties like rho_N == r exactly must count as covered, so the verdict
-    # carries a tiny relative slack and a knife-edge bracket is refined
-    # before rejecting
-    slack = max(2e-9, 1e-8 * r)
-
-    cache = {}
-
-    def covered(N):
-        if N not in cache:
-            bc = best_covering(A, N, **kw)
-            rho, hi_N = float(bc.bracket[0]), float(bc.bracket[1])
-            if hi_N > r + slack and rho <= r + slack:
-                tol = max((r - rho) / 4.0,
-                          1e-9 if A.d == 1 else 1e-7)
-                cr = covering_radius(A, bc.points, tol=tol)
-                hi_N = float(cr.bracket[1])
-            cache[N] = hi_N
-        return cache[N] <= r + slack
-
-    hi = 1
-    while not covered(hi):
-        hi *= 2
-        if hi > 4096:
-            raise RuntimeError("covering search exceeded 4096 points")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if covered(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    nodes = A.build_mesh(min(0.05, r / 3.0)).nodes
-    chosen = [nodes[0]]
-    dmin = np.linalg.norm(nodes - nodes[0], axis=1)
-    while True:
-        k = int(np.argmax(dmin))
-        if dmin[k] <= 2.0 * r:
-            break
-        chosen.append(nodes[k])
-        dmin = np.minimum(dmin, np.linalg.norm(nodes - nodes[k], axis=1))
-    return CoveringCount(hi, len(chosen), cache[hi])
-
-
-@dataclass(eq=False)
-class GammaChainReport:
-    """Four desk-scale estimates of the optimal covering ratio."""
-
-    d: int
-    target: float         # closed-form optimal density over ball volume
-    legs: dict            # r_count, best_covering, lattice, sigma
-    pairwise_gaps: dict
-
-
-def gamma_chain_check(d: int, opts: dict = None) -> GammaChainReport:
-    """Compare the four covering-ratio estimates on the unit cube.
-
-    Legs: r^d times the covering count at a fixed small r, the
-    extrapolated N * rho^d, the best named lattice density over V_d, and
-    the extrapolated sigma estimate raised to -d/s.  The lattice leg is
-    closed-form; the three point-set legs carry desk-scale bias.
-    """
-    d = int(d)
-    if d not in (1, 2):
-        raise ValueError("chain check supports d in {1, 2}")
-    defaults = {
-        1: dict(r=0.05, N_list=[8, 12, 16, 24, 32], s=16.0,
-                solver=SolverOptions(restarts=6, iters=800, tol=1e-4,
-                                     seed=0),
-                cover_options=dict(n_starts=6, iters=150, seed=0, tol=1e-6)),
-        2: dict(r=0.2, N_list=[10, 20, 40], s=16.0,
-                solver=SolverOptions(restarts=6, iters=1000, tol=1e-4,
-                                     seed=0, workers=4),
-                cover_options=dict(n_starts=6, iters=150, seed=0, tol=1e-5)),
-    }[d]
-    defaults.update(opts or {})
-    r = defaults["r"]
-    N_list = defaults["N_list"]
-    s = defaults["s"]
-    A = Cube(d)
-
-    if d == 1:
-        lattice_leg = lattice_density(named_lattice("Z", 1), 1) / 2.0
-    else:
-        cands = [named_lattice("Z", 2), named_lattice("hex"),
-                 named_lattice("A", 2), named_lattice("A_dual", 2)]
-        lattice_leg = min(lattice_density(L) for L in cands) / math.pi
-    target = 0.5 if d == 1 else 2.0 / math.sqrt(27.0)
-
-    cc = covering_count(A, r, defaults["cover_options"])
-    r_leg = r ** d * cc.n_upper
-    cfit = estimate_covering_constant(A, N_list, defaults["cover_options"])
-    covering_leg = cfit.limit ** d
-    sfit = estimate_sigma(A, s, N_list, opts=defaults["solver"])
-    sigma_leg = sfit.limit ** (-d / s)
-
-    legs = {"r_count": r_leg, "best_covering": covering_leg,
-            "lattice": lattice_leg, "sigma": sigma_leg}
-    names = sorted(legs)
-    gaps = {f"{a}|{b}": abs(legs[a] - legs[b])
-            for i, a in enumerate(names) for b in names[i + 1:]}
-    return GammaChainReport(d, target, legs, gaps)

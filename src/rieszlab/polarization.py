@@ -4,7 +4,8 @@ The inner problem (minimize the potential of a fixed configuration over the
 domain) is solved with a mesh sweep plus projected gradient polish, and
 certified by per-cell lower bounds: cells far from every configuration point
 get a Lipschitz bound, cells near one get a proximity bound, and active
-cells are refined until the bracket closes.  The outer problem (place N
+cells are refined until the bracket closes (``geometry.branch_and_bound``,
+which ``covering.covering_radius`` shares).  The outer problem (place N
 points to maximize the inner minimum) is multi-start softmin ascent with an
 exchange polish; only the final configuration pays for full certification.
 
@@ -37,8 +38,9 @@ from .geometry import (
     Domain,
     Ellipsoid,
     Sphere,
+    SphericalCap,
+    branch_and_bound,
     default_fill,
-    refine_nodes,
 )
 from .kernels import COINCIDENCE_EPS, _potential_rows, potential_field
 
@@ -185,13 +187,14 @@ def _cell_lower_bounds(A: Domain, omega: np.ndarray, nodes: np.ndarray,
     L = s sum_j (d_nj - r)^(-(s+1)), and a second-order Taylor bound
     f(node) - drop(grad) - (1/2) H r^2 with the Hessian norm bounded by
     H = s(s+1) sum_j (d_nj - r)^(-(s+2)).  The gradient drop respects the
-    domain: tangential on the sphere (the chordal normal offset of at
-    most r^2/2 folds into the second-order term), per-axis box reach on
-    the cube, and a capped outward radial reach on the ball.  The drop
-    vanishing at interior and boundary minimizers alike is what keeps the
-    active refinement front from blowing up as the bracket tightens.
+    domain: tangential on the sphere and on a spherical cap, which lies on
+    it (the chordal normal offset of at most r^2/2 folds into the
+    second-order term), per-axis box reach on the cube, and a capped
+    outward radial reach on the ball.  The drop vanishing at interior and
+    boundary minimizers alike is what keeps the active refinement front
+    from blowing up as the bracket tightens.
     """
-    on_sphere = isinstance(A, Sphere)
+    on_sphere = isinstance(A, (Sphere, SphericalCap))
     out = np.empty(len(nodes))
     for lo in range(0, len(nodes), chunk):
         blk = nodes[lo:lo + chunk]
@@ -271,38 +274,24 @@ def inner_min(A: Domain, omega, s: float, tol: float = 1e-4, *,
     # 1e-4 relative width on unit-scale problems; the bound constants also
     # grow linearly in s, so the start shrinks accordingly for steep kernels
     h = default_fill(A, len(omega)) * min(0.25, 1.2 / s)
-    mesh = A.build_mesh(h)
-    nodes, r = mesh.nodes, mesh.fill_distance
-    evaluated = 0
-    upper = math.inf
-    witness = None
-    lower = -math.inf
-    level = 0
-    for level in range(max_levels + 1):
+
+    def evaluate(nodes, r):
         f = potential_field(omega, nodes, s)
-        evaluated += len(nodes)
+        return f, _cell_lower_bounds(A, omega, nodes, f, r, s)
+
+    def polish(nodes, f, r, level):
+        # each seed node, then its descent; ties keep the earlier candidate
         seeds = np.argsort(f)[:INNER_SEEDS if level == 0 else 2]
         Y, V = _descend(A, np.broadcast_to(omega, (len(seeds),) + omega.shape),
                         s, nodes[seeds], r)
         for i, y, v in zip(seeds, Y, V.tolist()):
-            if f[i] < upper:
-                upper, witness = float(f[i]), nodes[i].copy()
-            if v < upper:
-                upper, witness = v, y
-        bounds = _cell_lower_bounds(A, omega, nodes, f, r, s)
-        lower = float(np.min(bounds))
-        if upper - lower <= tol * abs(upper):
-            return InnerMinResult(upper, witness, (lower, upper), True,
-                                  level, evaluated)
-        active = nodes[bounds < upper]
-        if len(active) == 0:
-            return InnerMinResult(upper, witness, (upper, upper), True,
-                                  level, evaluated)
-        if len(active) > INNER_MAX_ACTIVE:
-            break
-        nodes = refine_nodes(A, active, r)
-        r /= 2.0
-    return InnerMinResult(upper, witness, (lower, upper), False, level,
+            yield float(f[i]), nodes[i].copy()
+            yield v, y
+
+    lower, upper, witness, certified, level, evaluated = branch_and_bound(
+        A, A.build_mesh(h), evaluate, polish,
+        lambda lo, up: up - lo <= tol * abs(up), max_levels, INNER_MAX_ACTIVE)
+    return InnerMinResult(upper, witness, (lower, upper), certified, level,
                           evaluated)
 
 

@@ -277,10 +277,6 @@ def test_profile_constants_positive(square_profile):
     assert p.p_hat <= p.C_hat
 
 
-def test_profile_formula_dominates_observed_radius(square_profile):
-    assert square_profile.R_hat <= square_profile.r_formula * (1 + 1e-9)
-
-
 def test_profile_duality_sandwich(square_runs):
     # the best covering at radius rho forces the maximal polarization to
     # be at least rho**-s

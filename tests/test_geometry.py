@@ -11,6 +11,7 @@ from rieszlab.geometry import (
     Ellipsoid,
     Sphere,
     SphericalCap,
+    branch_and_bound,
     default_fill,
     domain_from_config,
     refine_nodes,
@@ -300,3 +301,115 @@ def test_invalid_domains_rejected():
         SphericalCap(2, 1.0)
     with pytest.raises(ValueError):
         domain_from_config({"kind": "torus", "d": 2})
+
+
+def _pointwise_solid_mesh(A, box_half, h):
+    """The solid grid mesh with membership tested one point at a time."""
+    d = len(box_half)
+    step = h / math.sqrt(d)
+    axes = [np.linspace(-a, a, max(2, int(math.ceil(2.0 * a / step)) + 1))
+            for a in box_half]
+    spacing = max(ax[1] - ax[0] for ax in axes)
+    G = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                 axis=1)
+    inside = np.array([A.contains(g, tol=0.0) for g in G])
+    outside = G[~inside]
+    proj = A.project_many(outside)
+    half_diag = spacing * math.sqrt(d) / 2.0
+    close = np.linalg.norm(proj - outside, axis=1) <= half_diag
+    return np.vstack([G[inside], proj[close]]), 2.0 * half_diag
+
+
+@pytest.mark.parametrize("A,h", [
+    (Ball(4), 0.6),
+    (Ball(4), 0.35),
+    (Ball(5), 0.6),
+    (Ellipsoid((1.0, 0.8, 0.6, 0.5)), 0.6),
+    (Ellipsoid((1.0, 0.8, 0.6, 0.5)), 0.35),
+], ids=repr)
+def test_high_dim_solid_mesh_matches_pointwise_membership(A, h):
+    box_half = A.axes_array if isinstance(A, Ellipsoid) else np.ones(A.d)
+    nodes, fill = _pointwise_solid_mesh(A, box_half, h)
+    mesh = A.build_mesh(h)
+    assert mesh.fill_distance == fill
+    assert np.array_equal(mesh.nodes, nodes)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound
+# ---------------------------------------------------------------------------
+
+
+def _bb_parabola(close, max_levels=12, max_active=10_000):
+    """Minimize (y - 0.3)^2 over [0, 1] (minimum 0) with a 1.4-Lipschitz
+    cell bound and the mesh argmin as the only polish candidate."""
+    def evaluate(nodes, r):
+        f = (nodes[:, 0] - 0.3) ** 2
+        return f, f - 1.4 * r
+
+    def polish(nodes, f, r, level):
+        i = int(np.argmin(f))
+        yield float(f[i]), nodes[i]
+
+    A = Cube(1)
+    return branch_and_bound(A, A.build_mesh(0.1), evaluate, polish, close,
+                            max_levels, max_active)
+
+
+def test_branch_and_bound_closes_on_tolerance():
+    lower, upper, point, certified, level, evaluated = _bb_parabola(
+        lambda lo, up: up - lo <= 1e-3)
+    assert certified
+    assert lower <= 0.0 <= upper and upper - lower <= 1e-3
+    assert abs(point[0] - 0.3) <= 0.05
+    assert 0 < level < 12 and evaluated > 0
+
+
+def test_branch_and_bound_empty_front_is_certified():
+    # f(y) = y with the exact cell minimum max(n - r, 0): no cell can beat
+    # the node y = 0, so the front empties before any refinement
+    def evaluate(nodes, r):
+        f = nodes[:, 0].copy()
+        return f, np.maximum(f - r, 0.0)
+
+    def polish(nodes, f, r, level):
+        i = int(np.argmin(f))
+        yield float(f[i]), nodes[i]
+
+    A = Cube(1)
+    lower, upper, point, certified, level, _ = branch_and_bound(
+        A, A.build_mesh(0.1), evaluate, polish, lambda lo, up: False, 12,
+        10_000)
+    assert certified and level == 0
+    assert lower == upper == 0.0 and point[0] == 0.0
+
+
+def test_branch_and_bound_front_cap_is_uncertified():
+    lower, upper, _, certified, level, _ = _bb_parabola(
+        lambda lo, up: False, max_active=0)
+    assert not certified and level == 0
+    assert lower <= 0.0 <= upper
+
+
+def test_branch_and_bound_level_budget_is_uncertified():
+    lower, upper, _, certified, level, evaluated = _bb_parabola(
+        lambda lo, up: False, max_levels=3)
+    assert not certified and level == 3
+    assert lower <= 0.0 <= upper
+    assert evaluated > len(Cube(1).build_mesh(0.1))
+
+
+def test_branch_and_bound_clamps_lower_to_upper():
+    # a cell bound above the polished value still yields lower <= upper
+    def evaluate(nodes, r):
+        f = (nodes[:, 0] - 0.3) ** 2
+        return f, f + 1.0
+
+    def polish(nodes, f, r, level):
+        yield -1.0, nodes[0]
+
+    A = Cube(1)
+    lower, upper, _, certified, _, _ = branch_and_bound(
+        A, A.build_mesh(0.1), evaluate, polish, lambda lo, up: up - lo <= 0,
+        12, 10_000)
+    assert certified and lower == upper == -1.0

@@ -13,7 +13,14 @@ import pytest
 
 from rieszlab import polarization
 from rieszlab.covering import best_covering
-from rieszlab.geometry import Ball, Cube, Ellipsoid, Sphere, default_fill
+from rieszlab.geometry import (
+    Ball,
+    Cube,
+    Ellipsoid,
+    Sphere,
+    SphericalCap,
+    default_fill,
+)
 from rieszlab.kernels import (
     LOG_SCALE_S,
     potential,
@@ -99,6 +106,20 @@ class TestInnerMin:
         r = inner_min(Cube(1), np.array([[0.25], [0.75]]), 2.0,
                       tol=1e-4, max_levels=1)
         assert not r.certified
+        assert r.bracket[0] <= r.value <= r.bracket[1]
+
+    @pytest.mark.parametrize("A", [SphericalCap(2, 0.2),
+                                   SphericalCap(1, 0.0)], ids=repr)
+    def test_cap_certified_below_dense_sample(self, A):
+        rng = np.random.default_rng(31)
+        omega = A.sample(rng, 3)
+        r = inner_min(A, omega, 2.0, tol=1e-4)
+        assert r.certified
+        # interior sample plus the rim, where the minimum tends to sit
+        rim = A.project_many(np.column_stack(
+            [np.full(20_000, A.t0 - 1.0), rng.standard_normal((20_000, A.d))]))
+        Y = np.vstack([A.sample(rng, 100_000), rim])
+        assert r.bracket[0] <= float(np.min(potential_field(omega, Y, 2.0)))
         assert r.bracket[0] <= r.value <= r.bracket[1]
 
     def test_rejections(self):
