@@ -171,9 +171,11 @@ def estimate_sigma(A: Domain, s: float, N_list,
                    opts: SolverOptions = SolverOptions()) -> AsymptoticFit:
     """Extrapolated limit of P_s(A;N) / N^{s/d}, rescaled by measure.
 
-    Runs a warm-started solver curve over N_list, normalizes each value by
-    N^{s/d}, and multiplies the fitted limit by H_d(A)^{s/d} so estimates
-    from different domains of the same dimension are comparable.
+    Runs a solver curve over N_list, normalizes each value by N^{s/d}, and
+    multiplies the fitted limit by H_d(A)^{s/d} so estimates from
+    different domains of the same dimension are comparable.  The curve
+    warm-starts each N from the last; that matters only for d >= 2, since
+    one-dimensional domains are solved exactly from a fixed start.
 
     Interval curves converge fast and get the free power fit when the
     list is long enough.  For d >= 2 the sequence at desk scale is still

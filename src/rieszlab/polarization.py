@@ -6,16 +6,23 @@ certified by per-cell lower bounds: cells far from every configuration point
 get a Lipschitz bound, cells near one get a proximity bound, and active
 cells are refined until the bracket closes (``geometry.branch_and_bound``,
 which ``covering.covering_radius`` shares).  The outer problem (place N
-points to maximize the inner minimum) is multi-start softmin ascent with an
-exchange polish; only the final configuration pays for full certification.
+points to maximize the inner minimum) is multi-start softmin ascent, with a
+pattern-search polish for tiny problems; only the final configuration pays
+for full certification.
 
-The outer search ranks configurations by a quick inner value (a mesh
-sweep plus short descents, exact on the interval).  That value is
-evaluated for a whole batch of configurations at once, with every row
-doing the arithmetic of a lone evaluation, and the descents of all seeds
-run in lockstep.  The compass polish uses this to try the remaining
-directions of a sweep speculatively in one batch; it takes the same moves
-as trying them one at a time.
+On a one-dimensional domain the optimum is known by its shape: for a
+convex decreasing kernel it is the unique configuration whose N+1 local
+minima (the two ends and one per gap) are equal (Borodachov, Hardin and
+Saff, *Discrete Energy on Rectifiable Sets*, 2019).  There a damped Newton
+solve of those N equations replaces the search.
+
+Elsewhere the outer search ranks configurations by a quick inner value (a
+mesh sweep plus short descents).  That value is evaluated for a whole
+batch of configurations at once, with every row doing the arithmetic of a
+lone evaluation, and the descents of all seeds run in lockstep.  The
+compass polish uses this to try the remaining directions of a sweep
+speculatively in one batch; it takes the same moves as trying them one at
+a time.
 """
 
 from __future__ import annotations
@@ -48,11 +55,16 @@ INNER_SEEDS = 10
 INNER_MAX_LEVELS = 12
 INNER_MAX_ACTIVE = 600_000
 # elements per block of a batched quick-inner evaluation (configurations x
-# nodes x points x coordinates in a mesh sweep, configurations x gaps x
-# points in the interval bisection).  It caps a compass batch and the node
-# chunk of a mesh sweep, so the temporaries stay small enough for the core's
-# cache at any N; larger blocks ran slower per configuration at N >= 32
+# nodes x points x coordinates in a mesh sweep).  It caps a compass batch
+# and the node chunk of a mesh sweep, so the temporaries stay small enough
+# for the core's cache at any N; larger blocks ran slower per configuration
+# at N >= 32
 BATCH_ELEMENTS = 1 << 14
+# the interval Newton solve stops once its log minima agree to EQUAL_SPREAD
+# or when NEWTON_HALVINGS halvings of a step all fail (from the pull-in
+# start no accepted step has needed more than one)
+EQUAL_SPREAD = 1e-14
+NEWTON_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -311,45 +323,70 @@ def _covering_init(A: Domain, N: int) -> np.ndarray:
     return _COVERING_INIT_CACHE[key]
 
 
-def _interval_inner_exact(X: np.ndarray, s: float):
-    """Exact inner min for a batch of configurations on [0, 1], (B, N, 1).
+def _interval_inner_exact(x: np.ndarray, s: float):
+    """All N+1 local minima of the potential of ordered charges x in (0, 1).
 
-    The potential is strictly convex on every gap between adjacent
-    charges and monotone on the two outer segments, so the minimum is
-    either an endpoint of [0, 1] or the unique zero of the derivative
-    inside some gap; the zeros are bisected for all gaps of all
-    configurations at once.  Collapsed gaps (width <= 1e-15) are bisected
-    along with the others and then ignored.  Returns values (B,) and
-    minimizers (B, 1).
+    The potential is monotone on the two outer segments and strictly
+    convex on every gap, so its local minima are its values at 0 and 1 and
+    at the one zero of the derivative in each gap, bisected for all gaps.
+    Returns the log minima log m_k (N+1,), in order from 0 to 1, and their
+    Jacobian d log m_k / d x_j (N+1, N).  At a gap minimizer y_k the
+    derivative in y vanishes, so by Danskin's theorem m_k moves with x_j
+    as if y_k stood still: dm_k/dx_j = s (y_k - x_j) |y_k - x_j|^(-s-2).
+    Distances are scaled by the gap width in the bisection and by the
+    nearest charge in the values, so nothing overflows at steep s.
     """
-    x = np.sort(X[:, :, 0], axis=1)
-    rows = np.arange(len(x))
+    lo, hi = x[:-1], x[1:]
+    w = (hi - lo)[:, None]
     with np.errstate(divide="ignore", over="ignore"):
-        cand_v = [np.sum(np.abs(x) ** -s, axis=1),
-                  np.sum(np.abs(1.0 - x) ** -s, axis=1)]
-    cand_y = [np.zeros(len(x)), np.ones(len(x))]
-    lo, hi = x[:, :-1], x[:, 1:]
-    keep = hi - lo > 1e-15
-    if lo.shape[1]:
-        xs = x[:, None, :]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                diff = mid[:, :, None] - xs
-                g = -s * np.sum(np.sign(diff) * np.abs(diff) ** -(s + 1.0),
-                                axis=2)
-                neg = g < 0.0
-                lo = np.where(neg, mid, lo)
-                hi = np.where(neg, hi, mid)
+        for _ in range(64):
             mid = 0.5 * (lo + hi)
-            vals = np.sum(np.abs(mid[:, :, None] - xs) ** -s, axis=2)
-        vals = np.where(keep, vals, math.inf)
-        k = np.argmin(vals, axis=1)
-        cand_y.append(mid[rows, k])
-        cand_v.append(vals[rows, k])
-    cand_v, cand_y = np.stack(cand_v, axis=1), np.stack(cand_y, axis=1)
-    j = np.argmin(cand_v, axis=1)
-    return cand_v[rows, j], cand_y[rows, j][:, None]
+            u = (mid[:, None] - x) / w
+            # the sign of -f'(mid): positive while the minimum lies right
+            right = np.sum(np.sign(u) * np.abs(u) ** -(s + 1.0), axis=1) > 0.0
+            lo = np.where(right, mid, lo)
+            hi = np.where(right, hi, mid)
+    diff = np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))[:, None] - x
+    dist = np.abs(diff)
+    near = np.min(dist, axis=1)
+    rel = (near[:, None] / dist) ** s
+    tot = np.sum(rel, axis=1)
+    jac = s * np.sign(diff) * rel / (dist * tot[:, None])
+    return np.log(tot) - s * np.log(near), jac
+
+
+def _equalize_interval(u: np.ndarray, s: float):
+    """Damped Newton on log m_k - log m_0 = 0 (k = 1..N) from charges u.
+
+    A step is halved until it keeps the charges strictly ordered inside
+    (0, 1) and lowers the spread max_k |log m_k - log m_0|.  The start is
+    kept if its exact minimum is the larger.  Returns the charges, their
+    log minima and the number of steps taken.
+    """
+    def spread(log_m):
+        return np.max(np.abs(log_m[1:] - log_m[0]))
+
+    start = best = (u,) + _interval_inner_exact(u, s)
+    steps = 0
+    while spread(best[1]) > EQUAL_SPREAD:
+        x, log_m, jac = best
+        try:
+            du = np.linalg.solve(jac[1:] - jac[0], log_m[0] - log_m[1:])
+        except np.linalg.LinAlgError:
+            break
+        for t in 0.5 ** np.arange(NEWTON_HALVINGS):
+            trial = x + t * du
+            if np.all(np.diff(np.concatenate(([0.0], trial, [1.0]))) > 0.0):
+                cand = (trial,) + _interval_inner_exact(trial, s)
+                if spread(cand[1]) < spread(log_m):
+                    break
+        else:
+            break
+        best = cand
+        steps += 1
+    if np.min(start[1]) > np.min(best[1]):
+        best = start
+    return best[0], best[1], steps
 
 
 def _seed_choice(nodes: np.ndarray, top: np.ndarray, r: float) -> list:
@@ -376,12 +413,9 @@ def _inner_upper_many(A: Domain, X: np.ndarray, s: float,
     polish steps that rely on this estimate stall on that noise.  Each
     configuration gets a mesh sweep, then descents from up to four
     well-separated low nodes; all descents of the batch run in one
-    lockstep call.  On the interval every basin is a gap with a convex
-    restriction, so the value there is exact.  Each row's result is what
-    a batch of one gives.  Returns values (B,) and witnesses (B, ambient).
+    lockstep call.  Each row's result is what a batch of one gives.
+    Returns values (B,) and witnesses (B, ambient).
     """
-    if isinstance(A, Cube) and A.d == 1:
-        return _interval_inner_exact(X, s)
     F = np.empty((len(X), len(nodes)))
     chunk = max(1, BATCH_ELEMENTS // X.size)
     for lo in range(0, len(nodes), chunk):
@@ -478,40 +512,9 @@ def _soft_ascent(A: Domain, nodes: np.ndarray, x: np.ndarray, s: float,
     return best_x, best_val
 
 
-def _exchange_polish(A: Domain, x: np.ndarray, s: float, nodes: np.ndarray,
-                     r: float, rounds: int = 8):
-    """Single-point exchange: move the least contributing point toward the
-    current witness, accept on improvement of the quick inner value."""
-    val, y = _inner_upper(A, x, s, nodes, r)
-    for _ in range(rounds):
-        dy = np.linalg.norm(x - y, axis=1)
-        gap = float(dy.min())
-        j = int(np.argmax(dy))          # smallest |y - x_j|^(-s) term
-        unit = (y - x[j]) / max(float(dy[j]), 1e-300)
-        trials = [x[j] + 0.5 * gap * unit,          # half-gap step toward y
-                  y - 0.5 * gap * unit]             # land just short of y
-        accepted = False
-        for t in trials:
-            cand = x.copy()
-            cand[j] = A.project(t)
-            cv, cy = _inner_upper(A, cand, s, nodes, r)
-            if cv > val * (1.0 + 1e-12):
-                x, val, y = cand, cv, cy
-                accepted = True
-                break
-        if not accepted:
-            break
-    return x, val, y
-
-
 def _compass_config(A: Domain, x: np.ndarray, s: float, nodes: np.ndarray,
                     r: float, spacing: float, budget: int = 2000):
     """Pattern search on the quick inner value; small N only.
-
-    Coordinate moves alone stall at equalized-minima vertices where
-    improvement needs two points moved together, so on the interval the
-    pattern also carries squeeze, spread and joint-shift moves for each
-    adjacent pair.
 
     A sweep tries its directions in order and takes each one that improves
     the value.  Most trials improve nothing, so the sweep evaluates its
@@ -526,30 +529,12 @@ def _compass_config(A: Domain, x: np.ndarray, s: float, nodes: np.ndarray,
     val, _ = _inner_upper(A, x, s, nodes, r)
     step = 0.05 * spacing
     evals = 0
-    pair_moves = x.shape[1] == 1 and len(x) >= 2
-    if isinstance(A, Cube) and A.d == 1:
-        per = len(x) * len(x)
-    else:
-        per = len(x) * len(nodes) * A.ambient
-    batch = size = max(1, BATCH_ELEMENTS // per)
+    batch = size = max(1, BATCH_ELEMENTS // (x.size * len(nodes)))
+    # +e and -e for every coordinate of every point, in that order
+    eye = np.eye(x.size).reshape((x.size,) + x.shape)
+    dirs = np.stack([eye, -eye], axis=1).reshape((-1,) + x.shape)
     while step > 1e-7 * A.diameter() and evals < budget:
         improved = False
-        dirs = []
-        for j in range(len(x)):
-            for k in range(x.shape[1]):
-                for sign in (1.0, -1.0):
-                    e = np.zeros_like(x)
-                    e[j, k] = sign
-                    dirs.append(e)
-        if pair_moves:
-            order = np.argsort(x[:, 0])
-            for a, b in zip(order[:-1], order[1:]):
-                for sa, sb in ((1.0, -1.0), (-1.0, 1.0), (1.0, 1.0),
-                               (-1.0, -1.0)):
-                    e = np.zeros_like(x)
-                    e[a, 0], e[b, 0] = sa, sb
-                    dirs.append(e)
-        dirs = np.array(dirs)
         i = 0
         while i < len(dirs):
             E = dirs[i:i + size]
@@ -583,7 +568,7 @@ def _run_restart(A: Domain, x0: np.ndarray, s: float, nodes: np.ndarray,
     for beta in _SOFT_BETAS:
         x, _ = _soft_ascent(A, nodes, x, s, beta, stage_iters, spacing)
         used += stage_iters
-    x, val, _ = _exchange_polish(A, x, s, nodes, r)
+    val, _ = _inner_upper(A, x, s, nodes, r)
     # the smoothed ascent can drift away from a start that was already
     # good (structured seeds, warm starts); never return worse than it
     v0, _ = _inner_upper(A, x0, s, nodes, r)
@@ -593,16 +578,51 @@ def _run_restart(A: Domain, x0: np.ndarray, s: float, nodes: np.ndarray,
     return x[order], val, used
 
 
+def _certified_result(A: Domain, x: np.ndarray, s: float,
+                      opts: SolverOptions, stats: dict) -> PolarizationResult:
+    cert = inner_min(A, x, s, tol=opts.tol)
+    stats.update(inner_levels=cert.levels, inner_nodes=cert.nodes_evaluated,
+                 witness_gap=float(np.min(np.linalg.norm(x - cert.witness,
+                                                         axis=1))))
+    return PolarizationResult(cert.value, cert.witness, cert.bracket, x, s,
+                              cert.certified, stats)
+
+
+def _maximize_interval(A: Domain, N: int, s: float,
+                       opts: SolverOptions) -> PolarizationResult:
+    """The equalized optimum on a one-dimensional domain, certified.
+
+    The domain is the segment of length L = diameter() centred on
+    interior_point(); it maps affinely onto [0, 1], which scales every
+    potential by L^s and changes no comparison, so the solve runs there.
+    The start is equal spacing with the end charges pulled in by half a
+    gap scaled by 2^(-1/s), which equalizes the end values with the
+    interior gap minima when only nearest neighbours count.  The pull-in
+    vanishes as s -> 0; its floor keeps the end charges off the ends in
+    floating point.
+    """
+    L = A.diameter()
+    lo = float(A.interior_point()[0]) - 0.5 * L
+    off = max(0.5 * 2.0 ** (-1.0 / s) / (N - 1 + 2.0 ** (-1.0 / s)), 1e-12)
+    u, log_m, steps = _equalize_interval(np.linspace(off, 1.0 - off, N), s)
+    stats = {"restarts": 1, "iterations": steps, "mesh_fill": 0.0,
+             "seed": opts.seed,
+             "spread": float(np.max(log_m) - np.min(log_m))}
+    return _certified_result(A, (lo + L * u)[:, None], s, opts, stats)
+
+
 def maximize_polarization(A: Domain, N: int, s: float,
                           opts: SolverOptions = SolverOptions(),
                           _extra_inits=None) -> PolarizationResult:
     """Best found N-point polarization configuration with certified value.
 
-    Multi-start (best-covering, structured layouts, farthest-point, random)
-    softmin ascent with a beta ramp, exchange polish, and a coordinate
-    polish for small problems.  Restarts are reduced in index order, so a
-    fixed seed gives identical output for any worker count.  Only the
-    winning configuration is certified by inner_min.
+    On a one-dimensional domain the equalization Newton solve gives the
+    optimum directly, and opts.restarts, iters, seed and workers do not
+    apply.  Elsewhere: multi-start (best-covering, structured layouts,
+    farthest-point, random) softmin ascent with a beta ramp, and a
+    coordinate polish for small problems.  Restarts are reduced in index
+    order, so a fixed seed gives identical output for any worker count.
+    Only the winning configuration is certified by inner_min.
     """
     s = _check_sv(s)
     if N < 1:
@@ -624,6 +644,8 @@ def maximize_polarization(A: Domain, N: int, s: float,
                  "seed": opts.seed, "closed_form": True, "witness_gap": 1.0}
         return PolarizationResult(float(N), witness, (float(N), float(N)),
                                   config, s, True, stats)
+    if A.ambient == 1:
+        return _maximize_interval(A, N, s, opts)
 
     h = 0.5 * default_fill(A, N)
     mesh = A.build_mesh(h)
@@ -636,12 +658,6 @@ def maximize_polarization(A: Domain, N: int, s: float,
         inits.extend(np.atleast_2d(np.asarray(e, dtype=float))
                      for e in _extra_inits)
     inits.append(_covering_init(A, N))
-    if isinstance(A, Cube) and A.d == 1 and N >= 2:
-        # equal spacing with the end charges pulled in by half a gap
-        # scaled by 2^{-1/s}: the pull-in equalizes the endpoint value
-        # with the interior gap minima, which is where the optimum lives
-        off = 0.5 * 2.0 ** (-1.0 / s) / (N - 1 + 2.0 ** (-1.0 / s))
-        inits.append(np.linspace(off, 1.0 - off, N)[:, None])
     inits.extend(structured_layouts(A, N, nodes))
     anchor = int(np.argmin(np.linalg.norm(
         nodes - A.interior_point(), axis=1)))
@@ -672,32 +688,13 @@ def maximize_polarization(A: Domain, N: int, s: float,
             # value tie: keep the lexicographically smaller configuration
             if tuple(x.ravel()) < tuple(best_x.ravel()):
                 best_x = x
-    if N * A.ambient <= 12 or (A.ambient == 1 and N <= 96):
-        # tiny problems: pattern-search the winner onto the exact optimum;
-        # on the line the pair moves evaluate exactly and cheaply, so the
-        # polish affords any desk-scale N and a larger budget
-        budget = 2000 if A.ambient > 1 else 8000
-        best_x, cval = _compass_config(A, best_x, s, nodes, r, spacing,
-                                       budget=budget)
-        if isinstance(A, Cube) and A.d == 1:
-            # the interval optimum is mirror symmetric; averaging the
-            # configuration with its reflection is a cheap candidate that
-            # lands exactly on the symmetric manifold
-            srt = np.sort(best_x, axis=0)
-            avg = 0.5 * (srt + 1.0 - srt[::-1])
-            av, _ = _inner_upper(A, avg, s, nodes, r)
-            if av > cval:
-                best_x, _ = _compass_config(A, avg, s, nodes, r, spacing)
+    if N * A.ambient <= 12:
+        # tiny problems: pattern-search the winner onto the exact optimum
+        best_x, _ = _compass_config(A, best_x, s, nodes, r, spacing)
         best_x = best_x[np.lexsort(best_x.T[::-1])]
-    cert = inner_min(A, best_x, s, tol=opts.tol)
     stats = {"restarts": len(inits), "iterations": total_iters,
-             "mesh_fill": r, "seed": opts.seed,
-             "inner_levels": cert.levels,
-             "inner_nodes": cert.nodes_evaluated,
-             "witness_gap": float(np.min(np.linalg.norm(
-                 best_x - cert.witness, axis=1)))}
-    return PolarizationResult(cert.value, cert.witness, cert.bracket,
-                              best_x, s, cert.certified, stats)
+             "mesh_fill": r, "seed": opts.seed}
+    return _certified_result(A, best_x, s, opts, stats)
 
 
 def _resize_config(A: Domain, base: np.ndarray, N: int,
@@ -712,7 +709,8 @@ def _resize_config(A: Domain, base: np.ndarray, N: int,
 def polarization_curve(A: Domain, s: float, N_list,
                        opts: SolverOptions = SolverOptions()) -> list:
     """maximize_polarization along N_list, warm-starting each run from the
-    previous configuration plus a point inserted at the previous witness."""
+    previous configuration plus a point inserted at the previous witness
+    (the one-dimensional solve ignores warm starts)."""
     N_list = [int(n) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be strictly increasing")

@@ -130,31 +130,30 @@ def test_candidate_matches_end_gap_closed_form(candidate_limit_s3):
     assert candidate_limit_s3.limit == pytest.approx(16.42898, rel=1e-3)
 
 
-@pytest.mark.slow
 def test_sigma_interval_near_candidate(candidate_limit_s3, interval_sigma_s3):
+    # pulling the end charges in lifts the optimum above equal spacing,
+    # onto the closed form 2**(s+1) * sum over odd k of k**-s
     fit = interval_sigma_s3
     assert fit.method == "power_fit" and fit.root == 1.0
-    rel = abs(fit.limit - candidate_limit_s3.limit) / candidate_limit_s3.limit
-    assert rel <= 0.02
-    assert fit.limit == pytest.approx(16.612, rel=1e-2)
+    assert candidate_limit_s3.limit < fit.limit
+    assert fit.limit == pytest.approx(16.0 * odd_power_sum(3.0), rel=2e-3)
 
 
-@pytest.mark.slow
 def test_sigma_interval_near_closed_form(interval_sigma_s3):
     # optimal interval configurations pull the end charges in, lifting the
     # constant to 2**(s+1) * sum over odd k of k**-s
     sigma = 16.0 * odd_power_sum(3.0)
-    assert abs(interval_sigma_s3.limit - sigma) / sigma <= 0.03
+    assert abs(interval_sigma_s3.limit - sigma) / sigma <= 2e-3
 
 
-@pytest.mark.slow
 def test_sigma_interval_window_consistency():
     w1 = estimate_sigma(Cube(1), 4.0, [8, 12, 16, 24, 32], opts=LIGHT1)
     w2 = estimate_sigma(Cube(1), 4.0, [16, 24, 32, 48, 64], opts=LIGHT1)
     rel = abs(w1.limit - w2.limit) / w2.limit
     assert rel <= 0.03
-    assert w1.limit == pytest.approx(32.41, rel=2e-2)
-    assert w2.limit == pytest.approx(32.23, rel=2e-2)
+    sigma = 32.0 * odd_power_sum(4.0)             # 32.4697
+    assert w1.limit == pytest.approx(sigma, rel=2e-3)
+    assert w2.limit == pytest.approx(sigma, rel=2e-3)
     # normalized values barely move over the top octave of the window
     top = w2.samples[w2.samples[:, 0] >= 32.0, 1]
     assert (np.max(top) - np.min(top)) / np.min(top) < 0.20

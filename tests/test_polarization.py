@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rieszlab import polarization
 from rieszlab.covering import best_covering
@@ -180,7 +181,7 @@ class TestMaximize:
         assert vals[1] >= vals[0] * (1.0 - 1e-6)
         assert vals[2] >= vals[1] * (1.0 - 1e-6)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
     def test_interval_reflection_symmetry(self, n):
         r = maximize_polarization(Cube(1), n, 3.0, LIGHT)
         c = np.sort(r.config.ravel())
@@ -197,17 +198,19 @@ class TestMaximize:
         assert gaps.max() - gaps.min() <= 1e-6
 
     def test_result_invariants(self):
-        r = maximize_polarization(Cube(2), 5, 4.0, LIGHT)
-        pot = potential(r.config, r.witness, 4.0)
-        assert abs(r.value - pot) <= 1e-9 * abs(pot)
-        assert r.bracket[0] <= r.value <= r.bracket[1]
-        if r.certified:
-            assert r.bracket[1] - r.bracket[0] <= 1e-4 * abs(r.value)
-        assert r.witness_gap > 0.0
-        for key in ("restarts", "iterations", "mesh_fill", "seed"):
-            assert key in r.solver_stats
-        assert all(Cube(2).contains(p) for p in r.config)
-        assert Cube(2).contains(r.witness)
+        # the search path, and the interval's Newton path
+        for A, N, s in ((Cube(2), 5, 4.0), (Cube(1), 8, 3.0)):
+            r = maximize_polarization(A, N, s, LIGHT)
+            pot = potential(r.config, r.witness, s)
+            assert abs(r.value - pot) <= 1e-9 * abs(pot)
+            assert r.bracket[0] <= r.value <= r.bracket[1]
+            if r.certified:
+                assert r.bracket[1] - r.bracket[0] <= 1e-4 * abs(r.value)
+            assert r.witness_gap > 0.0
+            for key in ("restarts", "iterations", "mesh_fill", "seed"):
+                assert key in r.solver_stats
+            assert all(A.contains(p) for p in r.config)
+            assert A.contains(r.witness)
 
     def test_worker_count_invariance(self):
         opts1 = SolverOptions(restarts=6, iters=400, tol=1e-4, seed=3,
@@ -257,6 +260,72 @@ class TestCurve:
             polarization_curve(Cube(1), 3.0, [2, 2], LIGHT)
 
 
+def interval_local_minima(config, s):
+    """The N+1 local minima of the potential of config on [0, 1].
+
+    The two end values, then one per gap at the Brent root of the
+    derivative, all summed plainly; independent of the solver's own
+    bisection and log-scaled sums.
+    """
+    x = np.sort(np.ravel(config))
+
+    def f(y):
+        return float(np.sum(np.abs(y - x) ** -s))
+
+    vals = [f(0.0)]
+    for a, b in zip(x[:-1], x[1:]):
+        w = b - a
+
+        def slope(y):
+            # -f'(y) up to a positive factor, in units of the gap width
+            u = (y - x) / w
+            return float(np.sum(np.sign(u) * np.abs(u) ** -(s + 1.0)))
+
+        vals.append(f(brentq(slope, a + 1e-3 * w, b - 1e-3 * w, xtol=1e-15)))
+    vals.append(f(1.0))
+    return np.array(vals)
+
+
+def pull_in_start(N, s):
+    """Equal spacing with the end charges pulled in by half a gap scaled by
+    2^(-1/s): the interval solver's start."""
+    off = 0.5 * 2.0 ** (-1.0 / s) / (N - 1 + 2.0 ** (-1.0 / s))
+    return np.linspace(off, 1.0 - off, N)
+
+
+class TestIntervalPath:
+    """One-dimensional domains are solved by equalizing the N+1 local
+    minima of the potential."""
+
+    @pytest.mark.parametrize("s", [0.5, 3.0, 32.0])
+    @pytest.mark.parametrize("N", [2, 8, 64])
+    def test_local_minima_equal(self, N, s):
+        r = maximize_polarization(Cube(1), N, s, LIGHT)
+        assert r.certified
+        m = interval_local_minima(r.config, s)
+        assert (m.max() - m.min()) / m.min() <= 1e-12
+        assert r.solver_stats["spread"] <= 1e-12
+        assert r.bracket[0] <= m.min() <= r.bracket[1]
+
+    @pytest.mark.parametrize("N, s", [(8, 0.5), (8, 3.0), (64, 3.0)])
+    def test_certified_above_pull_in_start(self, N, s):
+        # where the start's minima spread by more than the tolerance, the
+        # whole bracket clears the start's exact minimum
+        start = interval_local_minima(pull_in_start(N, s), s).min()
+        r = maximize_polarization(Cube(1), N, s, LIGHT)
+        assert r.certified
+        assert r.bracket[0] >= start
+
+    def test_ball_is_scaled_cube(self):
+        s = 3.0
+        rc = maximize_polarization(Cube(1), 3, s, LIGHT)
+        rb = maximize_polarization(Ball(1), 3, s, LIGHT)
+        assert rc.certified and rb.certified
+        np.testing.assert_allclose(rb.config, 2.0 * rc.config - 1.0,
+                                   rtol=0.0, atol=1e-15)
+        assert rb.value == pytest.approx(rc.value * 2.0 ** -s, rel=1e-9)
+
+
 def reference_descent(A, omega, s, y0, step0, iters=80):
     """One projected descent, one kernel call per value and gradient."""
     y = np.asarray(y0, dtype=float).copy()
@@ -282,33 +351,8 @@ def reference_descent(A, omega, s, y0, step0, iters=80):
 
 def reference_inner_upper(A, omega, s, nodes, r):
     """The quick inner value of one configuration, one descent at a time:
-    exact gap bisection on the interval, else the mesh argmin and descents
-    from up to four low nodes more than 4r apart."""
-    if isinstance(A, Cube) and A.d == 1:
-        x = np.sort(omega.ravel())
-        cand_y = [0.0, 1.0]
-        with np.errstate(divide="ignore", over="ignore"):
-            cand_v = [float(np.sum(np.abs(x) ** -s)),
-                      float(np.sum(np.abs(1.0 - x) ** -s))]
-        lo, hi = x[:-1].copy(), x[1:].copy()
-        keep = hi - lo > 1e-15
-        lo, hi = lo[keep], hi[keep]
-        if len(lo):
-            with np.errstate(divide="ignore", over="ignore"):
-                for _ in range(64):
-                    mid = 0.5 * (lo + hi)
-                    diff = mid[:, None] - x[None, :]
-                    g = -s * np.sum(np.sign(diff) * np.abs(diff) ** -(s + 1.0),
-                                    axis=1)
-                    lo = np.where(g < 0.0, mid, lo)
-                    hi = np.where(g < 0.0, hi, mid)
-                mid = 0.5 * (lo + hi)
-                vals = np.sum(np.abs(mid[:, None] - x[None, :]) ** -s, axis=1)
-            k = int(np.argmin(vals))
-            cand_y.append(float(mid[k]))
-            cand_v.append(float(vals[k]))
-        j = int(np.argmin(cand_v))
-        return cand_v[j], np.array([cand_y[j]])
+    the mesh argmin and descents from up to four low nodes more than 4r
+    apart."""
     f = potential_field(omega, nodes, s)
     order = np.argsort(f)
     seeds = []
@@ -360,23 +404,6 @@ class TestBatchedInner:
         V = self._assert_rows_match(A, X, s, nodes, r)
         assert np.all(V > 0.0)
 
-    @pytest.mark.parametrize("s", [3.0, 8.0, LOG_SCALE_S + 5.0])
-    def test_interval_rows_match_single(self, s):
-        A = Cube(1)
-        rng = np.random.default_rng(4)
-        nodes, r = self._mesh(A, 5)
-        X = rng.random((6, 5, 1))
-        X[2, 3] = X[2, 1] + 1e-16               # collapsed gap
-        X[3, :] = 0.5                           # every gap collapsed
-        X[4, 0] = 0.0                           # charge on the endpoint
-        self._assert_rows_match(A, X, s, nodes, r)
-        self._assert_rows_match(A, rng.random((3, 1, 1)), s, nodes, r)
-
-    def test_interval_single_charge_exact(self):
-        v, y = polarization._inner_upper(Cube(1), np.array([[0.5]]), 3.0,
-                                         *self._mesh(Cube(1), 1))
-        assert v == 8.0 and y[0] in (0.0, 1.0)
-
     @pytest.mark.parametrize("s", [4.0, LOG_SCALE_S + 20.0])
     def test_descent_rows_match_single(self, s):
         A = Cube(2)
@@ -398,16 +425,17 @@ class TestBatchedInner:
                 assert V[i] <= potential(omegas[i], Y0[i], s)
 
     def test_compass_batch_cap_invariance(self, monkeypatch):
-        A, N, s = Cube(1), 5, 8.0
+        A, N, s = Cube(2), 4, 4.0
         nodes, r = self._mesh(A, N)
-        x0 = np.linspace(0.1, 0.9, N)[:, None]
-        x, v = polarization._compass_config(A, x0, s, nodes, r, 1.0 / N,
-                                            budget=400)
+        x0 = np.array([[0.2, 0.25], [0.75, 0.2], [0.25, 0.8], [0.7, 0.75]])
+        spacing = A.diameter() / 2.0
+        x, v = polarization._compass_config(A, x0, s, nodes, r, spacing,
+                                            budget=200)
         v0, _ = polarization._inner_upper(A, x0, s, nodes, r)
         assert v > v0 and not np.array_equal(x, x0)   # moves were taken
         monkeypatch.setattr(polarization, "BATCH_ELEMENTS", 1)
-        x1, v1 = polarization._compass_config(A, x0, s, nodes, r, 1.0 / N,
-                                              budget=400)
+        x1, v1 = polarization._compass_config(A, x0, s, nodes, r, spacing,
+                                              budget=200)
         assert np.array_equal(x, x1) and v == v1
 
 
